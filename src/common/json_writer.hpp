@@ -1,10 +1,12 @@
 /**
  * @file
- * Streaming JSON writer shared by every machine-readable output path
- * (perf records, sweep benches, the structured-stats dump, and the
- * Chrome trace exporter). Centralizes string escaping and stable float
- * formatting so all documents are deterministic byte-for-byte given the
- * same data, regardless of which binary produced them.
+ * Streaming JSON writer shared by the machine-readable output paths
+ * (perf records, sweep benches and journals, the structured-stats dump,
+ * and the trace analyzer reports). Centralizes string escaping and
+ * stable float formatting so all documents are deterministic
+ * byte-for-byte given the same data, regardless of which binary
+ * produced them. The Chrome trace exporter writes its own compact
+ * layout but uses escape() and formatDouble() from here.
  */
 
 #ifndef WARPCOMP_COMMON_JSON_WRITER_HPP

@@ -14,6 +14,10 @@
  * ChromeTraceView so the emitted bytes depend only on the event/window
  * data — a dump replayed offline is byte-identical to the live export
  * of the same run.
+ *
+ * Layout (DESIGN.md §9): the first line holds the otherData object and
+ * opens the traceEvents array; then one event per line, compact (no
+ * spaces), keys in a fixed order; the last line closes the document.
  */
 
 #ifndef WARPCOMP_OBS_CHROME_TRACE_HPP
@@ -39,6 +43,10 @@ struct ChromeTraceMeta
 
 /** Thread-id base for bank lanes (warp lanes use the slot id). */
 inline constexpr u32 kBankLaneBase = 1000;
+
+/** Size of the serializer's output block: the document reaches the
+ *  stream in writes of at most this many bytes. */
+inline constexpr std::size_t kChromeFlushBytes = std::size_t{1} << 16;
 
 /** Source-agnostic input to the serializer: chronological events plus
  *  the window table, however they were obtained. Non-owning. */

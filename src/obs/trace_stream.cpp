@@ -1,10 +1,11 @@
 #include "obs/trace_stream.hpp"
 
+#include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/json_parse.hpp"
@@ -285,6 +286,34 @@ TraceStreamSink::finalize(Cycle cycles, const ObsWindows &windows)
 
 namespace {
 
+/** Everything @p fd holds. A regular file is read at its exact size in
+ *  one buffer; other files (pipes) grow it in chunks. An unreadable fd
+ *  (a directory) reads as empty. */
+std::string
+readAll(int fd)
+{
+    struct stat st {};
+    const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    std::string raw(regular ? static_cast<std::size_t>(st.st_size) : 0,
+                    '\0');
+    std::size_t got = 0;
+    for (;;) {
+        if (got == raw.size()) {
+            if (regular)
+                break;
+            raw.resize(raw.size() + (std::size_t{1} << 16));
+        }
+        const ssize_t n = ::read(fd, raw.data() + got, raw.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    raw.resize(got);
+    return raw;
+}
+
 std::optional<TraceDump>
 failLoad(TraceDumpError *err, std::string code, std::string detail)
 {
@@ -298,12 +327,12 @@ failLoad(TraceDumpError *err, std::string code, std::string detail)
 std::optional<TraceDump>
 loadTraceDump(const std::string &path, TraceDumpError *err)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return failLoad(err, "open_failed",
                         "cannot open trace dump '" + path + "'");
-    std::string raw((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+    const std::string raw = readAll(fd);
+    ::close(fd);
     const u8 *data = reinterpret_cast<const u8 *>(raw.data());
     const std::size_t size = raw.size();
 
@@ -330,6 +359,9 @@ loadTraceDump(const std::string &path, TraceDumpError *err)
     dump.meta = *meta;
 
     std::size_t pos = 16 + json_len;
+    // Every event takes kPackedEventBytes of the file, so its real size
+    // bounds the count; a hostile count field cannot inflate this.
+    dump.events.reserve((size - pos) / kPackedEventBytes);
     bool saw_footer = false;
     u64 footer_events = 0, footer_windows = 0;
     while (pos < size) {

@@ -1,5 +1,7 @@
 #include "sweep/point.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <span>
@@ -97,6 +99,45 @@ divFromToken(const std::string &v)
     return std::nullopt;
 }
 
+/** Shortest text that parses back to exactly @p v, so two configs
+ *  whose doubles differ in any bit get different specs and keys. */
+std::string
+doubleToken(double v)
+{
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    return std::string(buf, res.ptr);
+}
+
+/** Spec key of every EnergyParams field, in spec order. */
+struct EnergyField
+{
+    const char *key;
+    double EnergyParams::*field;
+};
+
+constexpr EnergyField kEnergyFields[] = {
+    {"eclock", &EnergyParams::clockGhz},
+    {"ebank", &EnergyParams::bankAccessPj},
+    {"ewire", &EnergyParams::wirePjPerMmFull},
+    {"ewiremm", &EnergyParams::wireMm},
+    {"ewireact", &EnergyParams::wireActivity},
+    {"ebankleak", &EnergyParams::bankLeakMw},
+    {"edrowsyleak", &EnergyParams::drowsyLeakFraction},
+    {"ecomp", &EnergyParams::compPj},
+    {"edecomp", &EnergyParams::decompPj},
+    {"ecompleak", &EnergyParams::compLeakMw},
+    {"edecompleak", &EnergyParams::decompLeakMw},
+    {"erfc", &EnergyParams::rfcAccessPj},
+    {"erfcleak", &EnergyParams::rfcLeakMw},
+    {"eremap", &EnergyParams::remapTablePj},
+    {"eeccenc", &EnergyParams::eccEncodePj},
+    {"eeccdec", &EnergyParams::eccDecodePj},
+    {"eeccstore", &EnergyParams::eccStorageOverhead},
+    {"ecdscale", &EnergyParams::compDecompScale},
+    {"eaccscale", &EnergyParams::accessScale},
+};
+
 } // namespace
 
 std::string
@@ -119,15 +160,17 @@ configToSpec(const ExperimentConfig &cfg)
        << ";comps=" << cfg.numCompressors
        << ";decomps=" << cfg.numDecompressors
        << ";salt=" << cfg.seedSalt
-       << ";fber=" << JsonWriter::formatDouble(cfg.faults.ber)
+       << ";fber=" << doubleToken(cfg.faults.ber)
        << ";fpolicy=" << faultPolicyName(cfg.faults.policy)
        << ";fseed=" << cfg.faults.seed
        << ";hang=" << cfg.faults.hangCycles
-       << ";seurate=" << JsonWriter::formatDouble(cfg.seu.flipsPerCycle)
+       << ";seurate=" << doubleToken(cfg.seu.flipsPerCycle)
        << ";seuscheme=" << seuSchemeName(cfg.seu.scheme)
        << ";seuseed=" << cfg.seu.seed
        << ";scrub=" << cfg.seu.scrubInterval
        << ";skip=" << boolToken(cfg.skipIdle);
+    for (const EnergyField &f : kEnergyFields)
+        ss << ';' << f.key << '=' << doubleToken(cfg.energy.*f.field);
     return ss.str();
 }
 
@@ -280,6 +323,17 @@ configFromSpec(const std::string &spec, std::string *error)
             ok = v.has_value();
             if (ok)
                 cfg.skipIdle = *v;
+        } else if (const auto f = std::find_if(
+                       std::begin(kEnergyFields), std::end(kEnergyFields),
+                       [&](const EnergyField &e) { return key == e.key; });
+                   f != std::end(kEnergyFields)) {
+            // Energies, powers and scales are finite and non-negative;
+            // the clock divides, so it must be positive.
+            const auto v = parseDoubleToken(val);
+            ok = v.has_value() && *v >= 0.0 &&
+                 (f->field != &EnergyParams::clockGhz || *v > 0.0);
+            if (ok)
+                cfg.energy.*f->field = *v;
         } else {
             return fail("unknown config key `" + key + "`");
         }

@@ -40,9 +40,12 @@ struct SweepPoint
 /**
  * Canonical config spec: `key=value` pairs joined by ';' in a fixed
  * field order, covering every ExperimentConfig field that affects
- * simulation results (observability is per-process, not per-point, and
- * EnergyParams are compile-time constants). Doubles use the JsonWriter
- * float format, so encode(parse(encode(c))) == encode(c).
+ * simulation results or their pricing (observability is per-process,
+ * not per-point). EnergyParams ride along as `e*` keys, since
+ * PointStats::energyPj is priced with them. Doubles use the shortest
+ * text that parses back to the same bits, so parse(encode(c)) equals c
+ * field for field and configs that differ in any bit never share a
+ * spec or a key.
  */
 std::string configToSpec(const ExperimentConfig &cfg);
 

@@ -3,8 +3,10 @@
  * Heap-allocation regression guard for the simulator hot loop. Replaces
  * the global operator new/delete with counting versions, drives one Sm
  * into steady state, and asserts that a window of cycles with no CTA
- * launch or completion performs zero heap allocations. Built as its own
- * test binary so the replaced allocator does not wrap the main suite.
+ * launch or completion performs zero heap allocations. The same counting
+ * allocator bounds what the Chrome exporter allocates for hostile lane
+ * ids. Built as its own test binary so the replaced allocator does not
+ * wrap the main suite.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +15,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <ostream>
+#include <streambuf>
 #include <string>
+#include <vector>
 
 #include "isa/builder.hpp"
 #include "mem/memory.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_stream.hpp"
 #include "sim/sm.hpp"
@@ -24,6 +30,8 @@
 namespace {
 
 std::atomic<unsigned long long> g_allocations{0};
+/** Largest single request seen so far. */
+std::atomic<std::size_t> g_largest{0};
 
 } // namespace
 
@@ -31,6 +39,11 @@ void *
 operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    std::size_t largest = g_largest.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largest.compare_exchange_weak(largest, size,
+                                            std::memory_order_relaxed)) {
+    }
     if (void *p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc{};
@@ -246,6 +259,43 @@ TEST(AllocGuard, SeuEccScrubPathIsAllocationFree)
     sp.seu.scrubInterval = 16;
     EXPECT_EQ(measureSteadyState(sp), 0u)
         << "SEU ECC+scrub path allocated over 10000 cycles";
+}
+
+/** Stream buffer that drops everything written to it. */
+class DiscardBuf : public std::streambuf
+{
+  protected:
+    int overflow(int c) override { return c; }
+    std::streamsize xsputn(const char *, std::streamsize n) override
+    {
+        return n;
+    }
+};
+
+TEST(AllocGuard, ChromeExportOfLargestIdsAllocatesLittle)
+{
+    // Dump events are untrusted: sm and lane ids of 65535 must cost the
+    // exporter a few lanes' worth of memory, not a table indexed by id.
+    std::vector<TraceEvent> events;
+    for (u16 sm : {u16{0}, u16{65535}}) {
+        for (u16 lane : {u16{0}, u16{65535}}) {
+            events.push_back({1, 0, 32, sm, lane, TraceEventKind::WarpIssue});
+            events.push_back({2, 0, 0, sm, lane, TraceEventKind::GateOff});
+            events.push_back({3, 10, 0, sm, lane, TraceEventKind::GateWake});
+        }
+    }
+    const std::vector<WindowRow> windows;
+    const ChromeTraceView view{events, windows, 0, 0, ~Cycle{0}, 0};
+    ChromeTraceMeta meta;
+    meta.numSms = 1;
+    meta.cycles = 100;
+    DiscardBuf discard;
+    std::ostream os(&discard);
+
+    g_largest.store(0, std::memory_order_relaxed);
+    writeChromeTrace(os, view, meta);
+    EXPECT_LE(g_largest.load(std::memory_order_relaxed), kChromeFlushBytes)
+        << "no allocation should exceed the output block";
 }
 
 } // namespace

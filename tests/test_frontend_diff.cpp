@@ -28,6 +28,15 @@ struct Pair
     const char *twin;   ///< registry name of the DSL twin
 };
 
+// Without a printer gtest lists the parameter as the raw bytes of its
+// two pointers, so the registered test names would change with every
+// address-space layout; print the image file name instead.
+void
+PrintTo(const Pair &p, std::ostream *os)
+{
+    *os << p.file;
+}
+
 const Pair kPairs[] = {
     {"vecadd.hex", "vecadd"},
     {"saxpy.hex", "saxpy"},

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "isa/builder.hpp"
@@ -366,6 +368,229 @@ TEST_F(ObsTraceTest, TraceIsByteIdenticalAcrossReruns)
     const std::string a = tracedRun(CompressionScheme::Warped);
     const std::string b = tracedRun(CompressionScheme::Warped);
     EXPECT_EQ(a, b);
+}
+
+// ------------------------------------------------ Chrome trace layout
+
+/** Serialize a hand-made view; windows and meta as given. */
+std::string
+chromeOf(const std::vector<TraceEvent> &events,
+         const std::vector<WindowRow> &windows, u32 interval,
+         const ChromeTraceMeta &meta, Cycle trace_start = 0,
+         Cycle trace_end = std::numeric_limits<Cycle>::max())
+{
+    const ChromeTraceView view{events,     windows,   interval,
+                               trace_start, trace_end, 0};
+    std::ostringstream os;
+    writeChromeTrace(os, view, meta);
+    return os.str();
+}
+
+ChromeTraceMeta
+layoutMeta(u32 sms, Cycle cycles)
+{
+    ChromeTraceMeta meta;
+    meta.workload = "unit";
+    meta.config = "Warped";
+    meta.numSms = sms;
+    meta.numBanks = 8;
+    meta.cycles = cycles;
+    return meta;
+}
+
+/** The document's first line, up to and including "traceEvents":[. */
+std::string
+headLine(const std::string &workload, u32 sms, Cycle cycles,
+         Cycle start, Cycle end, u64 events, u32 interval)
+{
+    return "{\"otherData\":{\"workload\":\"" + workload +
+           "\",\"config\":\"Warped\",\"sms\":" + std::to_string(sms) +
+           ",\"banks\":8,\"cycles\":" + std::to_string(cycles) +
+           ",\"trace_start\":" + std::to_string(start) +
+           ",\"trace_end\":" + std::to_string(end) +
+           ",\"events_recorded\":" + std::to_string(events) +
+           ",\"events_dropped\":0,\"window_interval\":" +
+           std::to_string(interval) +
+           ",\"timestamp_unit\":\"cycle\"},\"traceEvents\":[";
+}
+
+TEST(ChromeLayout, EveryEventKindHasItsExactLine)
+{
+    using K = TraceEventKind;
+    const std::vector<TraceEvent> events = {
+        {10, 0x40, 32, 0, 1, K::WarpIssue},
+        {11, 5, 0, 0, 1, K::DummyMov},
+        {12, 24, 32, 0, 1, K::CompressDecision, 7},
+        {13, 0, 0, 0, 1, K::Decompress},
+        {14, 3, 1, 0, 1, K::OperandCollect},
+        {15, 2, 1, 0, 1, K::Writeback},
+        {16, 0, 0, 0, 3, K::GateOff},
+        {20, 10, 0, 0, 3, K::GateWake},
+        {21, 4, 0, 0, 1, K::SeuCorruption},
+        {22, 8, 0, 0, 2, K::ScrubVisit},
+        {23, 0, 0, 0, 1, K::FaultCorruptedWrite},
+        {24, 6, 0, 0, 5, K::BankConflict},
+    };
+    ASSERT_EQ(events.size(), kNumTraceEventKinds);
+    WindowRow row;
+    row.issued = 10;
+    row.smCycles = 200;     // 100 cycles on each of 2 SMs: ipc 0.1
+    row.storedBytes = 64;
+    row.rawBytes = 256;
+    row.gatedBankCycles = 300;
+    ChromeTraceMeta meta = layoutMeta(2, 100);
+    meta.workload = "unit \"q\"";
+
+    const std::string expected =
+        headLine("unit \\\"q\\\"", 2, 100, 0, 100, 12, 50) + "\n"
+        R"({"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"GPU"}},
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"SM0"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"warp 1"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1002,"args":{"name":"bank 2"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1003,"args":{"name":"bank 3"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1005,"args":{"name":"bank 5"}},
+{"name":"issue","ph":"i","s":"t","ts":10,"pid":1,"tid":1,"args":{"pc":64,"lanes":32}},
+{"name":"dummy_mov","ph":"i","s":"t","ts":11,"pid":1,"tid":1,"args":{"dst":5}},
+{"name":"compress","ph":"i","s":"t","ts":12,"pid":1,"tid":1,"args":{"achieved_bytes":24,"stored_bytes":32,"reg":7}},
+{"name":"decompress","ph":"i","s":"t","ts":13,"pid":1,"tid":1,"args":{}},
+{"name":"collect","ph":"i","s":"t","ts":14,"pid":1,"tid":1,"args":{"ops":3,"compressed_srcs":1}},
+{"name":"writeback","ph":"i","s":"t","ts":15,"pid":1,"tid":1,"args":{"banks":2,"compressed":true}},
+{"name":"gated","ph":"X","ts":16,"dur":4,"pid":1,"tid":1003},
+{"name":"waking","ph":"X","ts":20,"dur":10,"pid":1,"tid":1003},
+{"name":"seu_corruption","ph":"i","s":"t","ts":21,"pid":1,"tid":1,"args":{"lanes":4,"amplified":false}},
+{"name":"scrub","ph":"i","s":"t","ts":22,"pid":1,"tid":1002,"args":{"banks":8}},
+{"name":"fault_corrupted_write","ph":"i","s":"t","ts":23,"pid":1,"tid":1,"args":{}},
+{"name":"bank_conflict","ph":"i","s":"t","ts":24,"pid":1,"tid":1005,"args":{"warp":6}},
+{"name":"ipc","ph":"C","ts":0,"pid":0,"tid":0,"args":{"ipc":0.1}},
+{"name":"compression_ratio","ph":"C","ts":0,"pid":0,"tid":0,"args":{"ratio":4}},
+{"name":"gated_banks","ph":"C","ts":0,"pid":0,"tid":0,"args":{"banks":1.5}}
+]}
+)";
+    const std::string doc = chromeOf(events, {row}, 50, meta);
+    EXPECT_EQ(doc, expected);
+    EXPECT_TRUE(MiniJson(doc).valid());
+}
+
+TEST(ChromeLayout, WakeWithoutGateOffOpensAtTraceStart)
+{
+    const std::vector<TraceEvent> events = {
+        {150, 10, 0, 1, 0, TraceEventKind::GateWake}};
+    const std::string expected =
+        headLine("unit", 2, 1000, 100, 500, 1, 0) + "\n"
+        R"({"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"SM1"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":1000,"args":{"name":"bank 0"}},
+{"name":"gated","ph":"X","ts":100,"dur":50,"pid":2,"tid":1000},
+{"name":"waking","ph":"X","ts":150,"dur":10,"pid":2,"tid":1000}
+]}
+)";
+    EXPECT_EQ(chromeOf(events, {}, 0, layoutMeta(2, 1000), 100, 500),
+              expected);
+}
+
+TEST(ChromeLayout, GateOffWithoutWakeClosesAtWindowEndInLaneOrder)
+{
+    // Gated in the order sm1/bank0, sm0/bank1, sm0/bank0; the open
+    // intervals come out in (sm, bank) order.
+    const std::vector<TraceEvent> events = {
+        {20, 0, 0, 1, 0, TraceEventKind::GateOff},
+        {30, 0, 0, 0, 1, TraceEventKind::GateOff},
+        {40, 0, 0, 0, 0, TraceEventKind::GateOff},
+    };
+    const std::string lanes =
+        R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"SM0"}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"SM1"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1000,"args":{"name":"bank 0"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1001,"args":{"name":"bank 1"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":1000,"args":{"name":"bank 0"}},
+)";
+    // The run ends first: intervals close at its last cycle.
+    EXPECT_EQ(chromeOf(events, {}, 0, layoutMeta(2, 90)),
+              headLine("unit", 2, 90, 0, 90, 3, 0) + "\n" + lanes +
+                  R"({"name":"gated","ph":"X","ts":40,"dur":50,"pid":1,"tid":1000},
+{"name":"gated","ph":"X","ts":30,"dur":60,"pid":1,"tid":1001},
+{"name":"gated","ph":"X","ts":20,"dur":70,"pid":2,"tid":1000}
+]}
+)");
+    // The traced window ends first: intervals close at its end.
+    EXPECT_EQ(chromeOf(events, {}, 0, layoutMeta(2, 90), 0, 70),
+              headLine("unit", 2, 90, 0, 70, 3, 0) + "\n" + lanes +
+                  R"({"name":"gated","ph":"X","ts":40,"dur":30,"pid":1,"tid":1000},
+{"name":"gated","ph":"X","ts":30,"dur":40,"pid":1,"tid":1001},
+{"name":"gated","ph":"X","ts":20,"dur":50,"pid":2,"tid":1000}
+]}
+)");
+}
+
+TEST(ChromeLayout, ZeroSmsGiveZeroIpc)
+{
+    WindowRow row;
+    row.issued = 500;
+    row.smCycles = 100;
+    const std::string expected =
+        headLine("unit", 0, 200, 0, 200, 0, 100) + "\n"
+        R"({"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"GPU"}},
+{"name":"ipc","ph":"C","ts":0,"pid":0,"tid":0,"args":{"ipc":0}},
+{"name":"compression_ratio","ph":"C","ts":0,"pid":0,"tid":0,"args":{"ratio":0}},
+{"name":"gated_banks","ph":"C","ts":0,"pid":0,"tid":0,"args":{"banks":0}},
+{"name":"ipc","ph":"C","ts":100,"pid":0,"tid":0,"args":{"ipc":0}},
+{"name":"compression_ratio","ph":"C","ts":100,"pid":0,"tid":0,"args":{"ratio":0}},
+{"name":"gated_banks","ph":"C","ts":100,"pid":0,"tid":0,"args":{"banks":0}}
+]}
+)";
+    EXPECT_EQ(chromeOf({}, {row, row}, 100, layoutMeta(0, 200)), expected);
+}
+
+TEST(ChromeLayout, EmptyViewIsAnEmptyEventArray)
+{
+    const std::string doc = chromeOf({}, {}, 0, layoutMeta(1, 0));
+    EXPECT_EQ(doc, headLine("unit", 1, 0, 0, 0, 0, 0) + "\n]}\n");
+    EXPECT_TRUE(MiniJson(doc).valid());
+}
+
+TEST(ChromeLayout, OutputLargerThanTheFlushBufferArrivesIntact)
+{
+    // A workload name longer than the buffer, then enough events to
+    // fill it several times over.
+    ChromeTraceMeta meta = layoutMeta(1, 1);
+    meta.workload = std::string(3 * kChromeFlushBytes, 'w');
+    std::vector<TraceEvent> events;
+    std::string lines;
+    for (u32 i = 0; lines.size() < 8 * kChromeFlushBytes; ++i) {
+        events.push_back({i, i, 32, 0, 0, TraceEventKind::WarpIssue});
+        lines += std::string(i == 0 ? "\n" : ",\n") +
+                 "{\"name\":\"issue\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
+                 std::to_string(i) +
+                 ",\"pid\":1,\"tid\":0,\"args\":{\"pc\":" +
+                 std::to_string(i) + ",\"lanes\":32}}";
+    }
+    const std::string expected =
+        headLine(meta.workload, 1, 1, 0, 1, events.size(), 0) + "\n" +
+        R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"SM0"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"warp 0"}},)" +
+        lines + "\n]}\n";
+    const std::string doc = chromeOf(events, {}, 0, meta);
+    EXPECT_GT(doc.size(), 10 * kChromeFlushBytes);
+    EXPECT_EQ(doc, expected);
+}
+
+TEST(ChromeLayout, LargestSmAndLaneIdsExport)
+{
+    const std::vector<TraceEvent> events = {
+        {1, 0, 32, 65535, 65535, TraceEventKind::WarpIssue},
+        {2, 0, 0, 65535, 65535, TraceEventKind::GateOff},
+        {3, 9, 0, 65535, 65535, TraceEventKind::BankConflict},
+    };
+    const std::string expected =
+        headLine("unit", 1, 5, 0, 5, 3, 0) + "\n"
+        R"({"name":"process_name","ph":"M","pid":65536,"tid":0,"args":{"name":"SM65535"}},
+{"name":"thread_name","ph":"M","pid":65536,"tid":65535,"args":{"name":"warp 65535"}},
+{"name":"thread_name","ph":"M","pid":65536,"tid":66535,"args":{"name":"bank 65535"}},
+{"name":"issue","ph":"i","s":"t","ts":1,"pid":65536,"tid":65535,"args":{"pc":0,"lanes":32}},
+{"name":"bank_conflict","ph":"i","s":"t","ts":3,"pid":65536,"tid":66535,"args":{"warp":9}},
+{"name":"gated","ph":"X","ts":2,"dur":3,"pid":65536,"tid":66535}
+]}
+)";
+    EXPECT_EQ(chromeOf(events, {}, 0, layoutMeta(1, 5)), expected);
 }
 
 // ------------------------------------------------------ no-perturbation

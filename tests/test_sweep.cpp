@@ -10,9 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "common/sha256.hpp"
 #include "sweep/sweep.hpp"
 
 namespace warpcomp {
@@ -133,6 +138,103 @@ TEST(SweepPointSpec, KeyIsStableAndSensitive)
     SweepPoint c = a;
     c.cfg.numSms = 3;
     EXPECT_NE(pointKey(c), key);
+}
+
+/** Every EnergyParams field, each with a value %.12g cannot hold. */
+const std::vector<std::pair<const char *, double EnergyParams::*>> &
+energyFields()
+{
+    static const std::vector<std::pair<const char *, double EnergyParams::*>>
+        fields = {
+            {"eclock", &EnergyParams::clockGhz},
+            {"ebank", &EnergyParams::bankAccessPj},
+            {"ewire", &EnergyParams::wirePjPerMmFull},
+            {"ewiremm", &EnergyParams::wireMm},
+            {"ewireact", &EnergyParams::wireActivity},
+            {"ebankleak", &EnergyParams::bankLeakMw},
+            {"edrowsyleak", &EnergyParams::drowsyLeakFraction},
+            {"ecomp", &EnergyParams::compPj},
+            {"edecomp", &EnergyParams::decompPj},
+            {"ecompleak", &EnergyParams::compLeakMw},
+            {"edecompleak", &EnergyParams::decompLeakMw},
+            {"erfc", &EnergyParams::rfcAccessPj},
+            {"erfcleak", &EnergyParams::rfcLeakMw},
+            {"eremap", &EnergyParams::remapTablePj},
+            {"eeccenc", &EnergyParams::eccEncodePj},
+            {"eeccdec", &EnergyParams::eccDecodePj},
+            {"eeccstore", &EnergyParams::eccStorageOverhead},
+            {"ecdscale", &EnergyParams::compDecompScale},
+            {"eaccscale", &EnergyParams::accessScale},
+        };
+    return fields;
+}
+
+TEST(SweepPointSpec, EveryEnergyFieldRoundTripsExactly)
+{
+    ExperimentConfig cfg;
+    for (std::size_t i = 0; i < energyFields().size(); ++i)
+        cfg.energy.*energyFields()[i].second = (i + 1) / 3.0 + 1e-14;
+    const std::string spec = configToSpec(cfg);
+    std::string err;
+    const auto back = configFromSpec(spec, &err);
+    ASSERT_TRUE(back.has_value()) << err;
+    for (const auto &[key, field] : energyFields()) {
+        EXPECT_NE(spec.find(std::string(";") + key + "="),
+                  std::string::npos)
+            << key;
+        EXPECT_EQ(back->energy.*field, cfg.energy.*field) << key;
+    }
+    EXPECT_EQ(configToSpec(*back), spec);
+
+    // Each field alone moves the key by its last bit.
+    const SweepPoint base{"nw", ExperimentConfig{}};
+    for (const auto &[key, field] : energyFields()) {
+        SweepPoint p = base;
+        p.cfg.energy.*field =
+            std::nextafter(p.cfg.energy.*field, 1e300);
+        EXPECT_NE(pointKey(p), pointKey(base)) << key;
+    }
+}
+
+TEST(SweepPointSpec, EnergyOnlyVariantsAreKeyedAndPricedApart)
+{
+    ExperimentConfig cheap;
+    cheap.numSms = 2;
+    ExperimentConfig dear = cheap;
+    cheap.energy.bankAccessPj = 3.5;
+    dear.energy.bankAccessPj = 14.0;
+    const SweepPoint points[] = {{"nw", cheap}, {"nw", dear}};
+    EXPECT_NE(pointKey(points[0]), pointKey(points[1]));
+
+    // Price each point the way a sweep child does: from its spec.
+    double pj[2] = {};
+    for (int i = 0; i < 2; ++i) {
+        std::string err;
+        const auto child = pointFromSpec(pointToSpec(points[i]), &err);
+        ASSERT_TRUE(child.has_value()) << err;
+        const ExperimentResult res =
+            runWorkload(child->workload, child->cfg);
+        pj[i] = makePointStats(res, child->cfg.energy).energyPj;
+        EXPECT_DOUBLE_EQ(pj[i],
+                         res.run.meter.breakdownWith(points[i].cfg.energy)
+                             .totalPj());
+    }
+    EXPECT_LT(pj[0], pj[1]);
+}
+
+TEST(SweepPointSpec, RejectsBadEnergyValues)
+{
+    for (const char *spec :
+         {"ebank=nan", "ebank=NaN", "ebank=-1", "ebank=-0.5e3",
+          "ebank=inf", "ebank=abc", "ebank=7pJ", "ebank=", "eclock=0",
+          "eaccscale=1e999"}) {
+        std::string err;
+        EXPECT_FALSE(configFromSpec(spec, &err).has_value()) << spec;
+        EXPECT_NE(err.find("bad value for config key"), std::string::npos)
+            << spec << ": " << err;
+    }
+    std::string err;
+    EXPECT_TRUE(configFromSpec("ebank=0", &err).has_value()) << err;
 }
 
 TEST(SweepChaos, SpecParsesAndCanonicalizes)
@@ -322,6 +424,38 @@ TEST(SweepJournal, AppendedFileLoadsBack)
     ASSERT_TRUE(index.has_value()) << err;
     EXPECT_EQ(index->byKey.size(), 2u);
     EXPECT_EQ(index->skippedLines, 0u);
+}
+
+TEST(SweepJournal, RecordsFromBeforeEnergyKeysAreNeverServed)
+{
+    // A record written before energy joined the spec: its key hashed
+    // the spec without any e* pair, and its energy_pj was priced with
+    // the default constants whatever the point asked for.
+    ExperimentConfig dear;
+    dear.energy.bankAccessPj = 14.0;
+    const std::string spec = configToSpec(dear);
+    const std::string old_spec = spec.substr(0, spec.find(";eclock="));
+    const std::string material = old_spec + "\n" + "nw";
+    JournalRecord rec = sampleRecord(
+        sha256Hex(std::span<const u8>(
+                      reinterpret_cast<const u8 *>(material.data()),
+                      material.size()))
+            .substr(0, 16),
+        "ok");
+    rec.configSpec = old_spec;
+    const std::string path =
+        writeTemp("wc_sweep_old.jsonl", journalLine(rec) + "\n");
+
+    std::string err;
+    const auto index = loadJournal(path, &err);
+    ASSERT_TRUE(index.has_value()) << err;
+    ASSERT_EQ(index->byKey.size(), 1u);
+    // The old spec still parses (to default energy)...
+    EXPECT_TRUE(configFromSpec(old_spec, &err).has_value()) << err;
+    // ...but neither the energy variant nor the default point looks the
+    // old record up: both run again rather than reuse its pricing.
+    EXPECT_EQ(index->find(pointKey({"nw", dear})), nullptr);
+    EXPECT_EQ(index->find(pointKey({"nw", ExperimentConfig{}})), nullptr);
 }
 
 TEST(SweepPointStats, JsonRoundTrip)

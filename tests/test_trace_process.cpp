@@ -20,11 +20,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/json_parse.hpp"
 
@@ -38,10 +40,20 @@ namespace {
 #error "CMake must define WC_TRACE_BIN"
 #endif
 
+/** Per-process scratch directory, removed at exit: ctest runs each
+ *  test in its own process, in parallel, and each process writes its
+ *  own reference run (dump and live trace). */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "wc_trace_proc_" + name;
+    static const struct ScratchDir
+    {
+        std::string path = ::testing::TempDir() + "wc_trace_proc_" +
+                           std::to_string(::getpid()) + "/";
+        ScratchDir() { std::filesystem::create_directories(path); }
+        ~ScratchDir() { std::filesystem::remove_all(path); }
+    } dir;
+    return dir.path + name;
 }
 
 int

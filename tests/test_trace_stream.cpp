@@ -12,9 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+
+#include <unistd.h>
 
 #include "common/json_parse.hpp"
 #include "harness/experiment.hpp"
@@ -25,10 +29,20 @@
 namespace warpcomp {
 namespace {
 
+/** Per-process scratch directory, removed at exit: ctest runs each
+ *  test in its own process, in parallel, and each process writes its
+ *  own reference run. */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "wc_trace_" + name;
+    static const struct ScratchDir
+    {
+        std::string path = ::testing::TempDir() + "wc_trace_" +
+                           std::to_string(::getpid()) + "/";
+        ScratchDir() { std::filesystem::create_directories(path); }
+        ~ScratchDir() { std::filesystem::remove_all(path); }
+    } dir;
+    return dir.path + name;
 }
 
 std::string
@@ -362,6 +376,38 @@ TEST(TraceStream, TruncationAndCorruptionAreStructuredErrors)
     EXPECT_EQ(err.code, "open_failed");
 
     std::remove(path.c_str());
+}
+
+TEST(TraceStream, DirectoryAndPipeInputs)
+{
+    // A directory opens but cannot be read: it loads as an empty file,
+    // a structured error rather than an exception.
+    TraceDumpError err;
+    EXPECT_FALSE(loadTraceDump(::testing::TempDir(), &err).has_value());
+    EXPECT_EQ(err.code, "bad_magic");
+
+    // A pipe has no size to read up front; it loads all the same.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    const std::string good = slurp(streamedRun().dumpPath);
+    std::thread writer([&] {
+        std::size_t off = 0;
+        while (off < good.size()) {
+            const ssize_t n =
+                ::write(fds[1], good.data() + off, good.size() - off);
+            if (n <= 0)
+                break;
+            off += static_cast<std::size_t>(n);
+        }
+        ::close(fds[1]);
+    });
+    const auto dump =
+        loadTraceDump("/dev/fd/" + std::to_string(fds[0]), &err);
+    writer.join();
+    ::close(fds[0]);
+    ASSERT_TRUE(dump.has_value()) << err.code << ": " << err.detail;
+    EXPECT_EQ(dump->events.size(),
+              streamedRun().result.run.obs->streamedEvents());
 }
 
 TEST(TraceStream, StatsGroupCountsStreamedEvents)
