@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared scaffolding for the per-figure bench binaries: suite runners
- * with benchmark filtering, and the normalized-energy helpers every
- * energy figure uses.
+ * Shared scaffolding for the bench drivers (reproduce, run_kernel,
+ * bench_perf and the sweeps): workload selection, the recorded suite
+ * runner, and the figure banner.
  */
 
 #ifndef WARPCOMP_BENCH_BENCH_COMMON_HPP
@@ -173,13 +173,6 @@ runSelected(const HarnessOptions &opt, ExperimentConfig cfg,
         perfRecorder().addSuite(std::move(rec));
     }
     return results;
-}
-
-/** Total register-file energy of one run under given constants. */
-inline double
-totalEnergy(const ExperimentResult &r, const EnergyParams &params)
-{
-    return r.run.meter.breakdownWith(params).totalPj();
 }
 
 /** Standard figure banner. */

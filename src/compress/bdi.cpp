@@ -24,6 +24,18 @@ loadChunk(std::span<const u8> data, u32 index, u32 chunk_bytes)
     return static_cast<i64>(raw);
 }
 
+/**
+ * @p value - @p base modulo 2^64, read back as signed. Far-apart 8-byte
+ * chunks overflow an i64 subtraction; the decoder adds the delta back
+ * modulo 2^64 as well, so the wrapped delta round-trips exactly.
+ */
+i64
+deltaFrom(i64 value, i64 base)
+{
+    return static_cast<i64>(static_cast<u64>(value) -
+                            static_cast<u64>(base));
+}
+
 /** Store the low @p bytes bytes of @p value little-endian. */
 void
 storeBytes(BdiByteBuf &out, i64 value, u32 bytes)
@@ -82,7 +94,7 @@ scanDeltas(std::span<const u8> data, u32 base_bytes)
     const u32 chunks = static_cast<u32>(data.size()) / base_bytes;
     const i64 base = loadChunk(data, 0, base_bytes);
     for (u32 i = 1; i < chunks; ++i) {
-        const i64 d = loadChunk(data, i, base_bytes) - base;
+        const i64 d = deltaFrom(loadChunk(data, i, base_bytes), base);
         f.zero = f.zero && d == 0;
         f.one = f.one && fitsSigned(d, 1);
         f.two = f.two && fitsSigned(d, 2);
@@ -242,7 +254,8 @@ bdiCompressible(std::span<const u8> data, BdiParams params)
     const u32 chunks = static_cast<u32>(data.size()) / params.baseBytes;
     const i64 base = loadChunk(data, 0, params.baseBytes);
     for (u32 i = 1; i < chunks; ++i) {
-        const i64 delta = loadChunk(data, i, params.baseBytes) - base;
+        const i64 delta =
+            deltaFrom(loadChunk(data, i, params.baseBytes), base);
         if (params.deltaBytes == 0) {
             if (delta != 0)
                 return false;
@@ -309,7 +322,8 @@ bdiCompress(std::span<const u8> data, std::span<const BdiParams> candidates)
     const i64 base = loadChunk(data, 0, best->baseBytes);
     storeBytes(enc.bytes, base, best->baseBytes);
     for (u32 i = 1; i < chunks; ++i) {
-        const i64 delta = loadChunk(data, i, best->baseBytes) - base;
+        const i64 delta =
+            deltaFrom(loadChunk(data, i, best->baseBytes), base);
         storeBytes(enc.bytes, delta, best->deltaBytes);
     }
     WC_ASSERT(enc.bytes.size() == best_size, "compressed size mismatch");
@@ -344,7 +358,7 @@ bdiDecompress(const BdiEncoded &enc)
             delta = loadSigned(enc.bytes.data() + p.baseBytes +
                                (i - 1) * p.deltaBytes, p.deltaBytes);
         }
-        raw = static_cast<u64>(base + delta);
+        raw = static_cast<u64>(base) + static_cast<u64>(delta);
         std::memcpy(out.data() + i * p.baseBytes, &raw, p.baseBytes);
     }
     return out;

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <limits>
+
 #include "common/rng.hpp"
 #include "compress/bdi.hpp"
 
@@ -275,6 +279,44 @@ TEST(BdiCompress, WideDeltaWraparoundExtremes)
     EXPECT_FALSE(bdiCompressible(img, BdiParams{4, 2}));
     const BdiEncoded enc = bdiCompress(img, warpedCandidates());
     EXPECT_FALSE(enc.compressed);
+    EXPECT_EQ(bdiDecompress(enc), img);
+}
+
+/** 128-byte image of alternating 8-byte chunks @p even, @p odd. */
+std::array<u8, kWarpRegBytes>
+eightByteChunks(i64 even, i64 odd)
+{
+    std::array<u8, kWarpRegBytes> img{};
+    for (u32 c = 0; c < kWarpRegBytes / 8; ++c) {
+        const i64 chunk = c % 2 == 0 ? even : odd;
+        std::memcpy(img.data() + 8 * c, &chunk, 8);
+    }
+    return img;
+}
+
+TEST(BdiCompress, FarApartEightByteChunksRoundtrip)
+{
+    // Values UBSan reported in the random round-trip sweep: the delta
+    // against the base overflows i64. Deltas are taken modulo 2^64;
+    // this one fits no width.
+    const auto img =
+        eightByteChunks(-4934718135544036792, 4533524145188941008);
+    for (u32 delta : {0u, 1u, 2u, 4u})
+        EXPECT_FALSE(bdiCompressible(img, BdiParams{8, delta}));
+    const BdiEncoded enc = bdiCompress(img, fullBdiCandidates());
+    EXPECT_FALSE(enc.compressed);
+    EXPECT_EQ(bdiDecompress(enc), img);
+}
+
+TEST(BdiCompress, EightByteDeltaWrapsModulo64)
+{
+    // INT64_MIN - INT64_MAX is 1 modulo 2^64, so <8,1> encodes it, and
+    // the decoder's base + delta wraps back to INT64_MIN.
+    const auto img = eightByteChunks(std::numeric_limits<i64>::max(),
+                                     std::numeric_limits<i64>::min());
+    const BdiEncoded enc = bdiCompress(img, fullBdiCandidates());
+    ASSERT_TRUE(enc.compressed);
+    EXPECT_EQ(enc.params, (BdiParams{8, 1}));
     EXPECT_EQ(bdiDecompress(enc), img);
 }
 
